@@ -55,8 +55,17 @@ fn random_csr(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Csr {
     Csr::from_triplets(nrows, ncols, triplets)
 }
 
-/// Median of `reps` timings of `run`, plus the last result.
-fn median_ms<R>(reps: usize, mut run: impl FnMut() -> R) -> (f64, R) {
+/// Min, median and max of one phase's timed reps, in ms. The gates read
+/// the median; the report prints all three so the spread is visible.
+struct Reps {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+/// Time `reps` runs of `run`, returning their [`Reps`] plus the last
+/// result.
+fn time_reps<R>(reps: usize, mut run: impl FnMut() -> R) -> (Reps, R) {
     let mut times = Vec::with_capacity(reps);
     let mut out = None;
     for _ in 0..reps {
@@ -65,7 +74,20 @@ fn median_ms<R>(reps: usize, mut run: impl FnMut() -> R) -> (f64, R) {
         times.push(t.elapsed().as_secs_f64() * 1e3);
     }
     times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], out.expect("reps >= 1"))
+    let reps = Reps {
+        min: times[0],
+        median: times[times.len() / 2],
+        max: times[times.len() - 1],
+    };
+    (reps, out.expect("reps >= 1"))
+}
+
+/// Record `key` as the median (the figure the gates use) and
+/// `key_min`/`key_max` next to it.
+fn set_reps(report: &mut hin_bench::JsonReport, key: &str, reps: &Reps) {
+    report.set(key, format!("{:.3}", reps.median));
+    report.set(&format!("{key}_min"), format!("{:.3}", reps.min));
+    report.set(&format!("{key}_max"), format!("{:.3}", reps.max));
 }
 
 /// Panic unless two matrices are bit-identical (structure and value bits).
@@ -89,7 +111,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
-    // Force ≥ 2 so the pool path (partition, spawn, stitch) actually runs
+    // Force ≥ 2 so the pool path (partition, spawn, append) actually runs
     // even on a 1-core box; the scaling gate below stays core-gated.
     let threads = hin_linalg::kernel_threads().max(2);
 
@@ -98,29 +120,31 @@ fn main() {
     let c = random_csr(n, m, deg * n, 0xC3C3);
 
     // ── phase 1: serial vs parallel SpGEMM ───────────────────────────────
-    let (serial_spgemm_ms, serial_product) = median_ms(reps, || a.spgemm(&b));
-    let (parallel_spgemm_ms, parallel_product) = median_ms(reps, || a.spgemm_parallel(&b, threads));
+    let (serial_spgemm, serial_product) = time_reps(reps, || a.spgemm(&b));
+    let (parallel_spgemm, parallel_product) = time_reps(reps, || a.spgemm_parallel(&b, threads));
     assert_bit_identical(&parallel_product, &serial_product, "spgemm");
+    let (serial_spgemm_ms, parallel_spgemm_ms) = (serial_spgemm.median, parallel_spgemm.median);
     let spgemm_speedup = serial_spgemm_ms / parallel_spgemm_ms.max(1e-9);
 
     // ── phase 2: serial vs parallel chain ────────────────────────────────
     let mats = [&a, &b, &c];
-    let (serial_chain_ms, serial_chain) = median_ms(reps, || spmm_chain(&mats));
-    let (parallel_chain_ms, parallel_chain) =
-        median_ms(reps, || spmm_chain_parallel(&mats, threads));
-    assert_bit_identical(&parallel_chain, &serial_chain, "spmm_chain");
+    let (serial_chain, serial_chain_product) = time_reps(reps, || spmm_chain(&mats));
+    let (parallel_chain, parallel_chain_product) =
+        time_reps(reps, || spmm_chain_parallel(&mats, threads));
+    assert_bit_identical(&parallel_chain_product, &serial_chain_product, "spmm_chain");
+    let (serial_chain_ms, parallel_chain_ms) = (serial_chain.median, parallel_chain.median);
     let chain_speedup = serial_chain_ms / parallel_chain_ms.max(1e-9);
 
     // ── phase 3: per-anchor rows vs one block propagation ────────────────
     let anchors: Vec<usize> = (0..k_anchors).map(|i| (i * 7919) % n).collect();
     let span = [&a, &b];
-    let (per_anchor_ms, per_anchor_rows) = median_ms(reps, || {
+    let (per_anchor, per_anchor_rows) = time_reps(reps, || {
         anchors
             .iter()
             .map(|&x| spvm_chain(&SparseVec::unit(n, x), &span))
             .collect::<Vec<SparseVec>>()
     });
-    let (block_ms, block_rows) = median_ms(reps, || {
+    let (block, block_rows) = time_reps(reps, || {
         spmm_block_chain(&SparseBlock::from_units(n, &anchors), &span).into_rows()
     });
     assert_eq!(block_rows.len(), per_anchor_rows.len());
@@ -130,6 +154,7 @@ fn main() {
             assert_eq!(g.to_bits(), w.to_bits(), "block row {i}: value bits");
         }
     }
+    let (per_anchor_ms, block_ms) = (per_anchor.median, block.median);
     let block_speedup = per_anchor_ms / block_ms.max(1e-9);
 
     let mut report = hin_bench::JsonReport::new();
@@ -141,15 +166,15 @@ fn main() {
     report.set("nnz_a", a.nnz());
     report.set("nnz_b", b.nnz());
     report.set("reps", reps);
-    report.set("serial_spgemm_ms", format!("{serial_spgemm_ms:.3}"));
-    report.set("parallel_spgemm_ms", format!("{parallel_spgemm_ms:.3}"));
+    set_reps(&mut report, "serial_spgemm_ms", &serial_spgemm);
+    set_reps(&mut report, "parallel_spgemm_ms", &parallel_spgemm);
     report.set("spgemm_speedup", format!("{spgemm_speedup:.2}"));
-    report.set("serial_chain_ms", format!("{serial_chain_ms:.3}"));
-    report.set("parallel_chain_ms", format!("{parallel_chain_ms:.3}"));
+    set_reps(&mut report, "serial_chain_ms", &serial_chain);
+    set_reps(&mut report, "parallel_chain_ms", &parallel_chain);
     report.set("chain_speedup", format!("{chain_speedup:.2}"));
     report.set("k_anchors", k_anchors);
-    report.set("per_anchor_ms", format!("{per_anchor_ms:.3}"));
-    report.set("block_ms", format!("{block_ms:.3}"));
+    set_reps(&mut report, "per_anchor_ms", &per_anchor);
+    set_reps(&mut report, "block_ms", &block);
     report.set("block_speedup", format!("{block_speedup:.2}"));
     report.print_and_write("BENCH_parallel.json");
 

@@ -265,7 +265,10 @@ fn main() {
         "failover_ms_mean",
         format!("{:.2}", failover_snap.mean() / 1e6),
     );
-    report.set("failover_ms_max", failover_snap.max() / 1_000_000);
+    report.set(
+        "failover_ms_max",
+        format!("{:.2}", failover_snap.max() as f64 / 1e6),
+    );
     report.set("recovery_wall_ms", format!("{recovery_wall_ms:.1}"));
     report.print_and_write("BENCH_wire.json");
 

@@ -12,10 +12,10 @@
 //! rows stay hot across anchors — which wins even on one core by amortizing
 //! chain overhead across the batch.
 //!
-//! Each row of the block runs the *exact* [`crate::spvec::spvm_with`]
-//! scatter/sort/dedup/gather sequence, so every propagated row is
-//! bit-identical to the row the per-anchor kernel (and therefore the
-//! materialized matrix product) produces.
+//! Each row of the block runs the same row kernel as
+//! [`crate::spvec::spvm_with`], so every propagated row is bit-identical
+//! to the row the per-anchor kernel (and therefore the materialized matrix
+//! product) produces.
 
 use crate::csr::{Csr, ScatterScratch};
 use crate::spvec::SparseVec;
@@ -28,10 +28,10 @@ use crate::spvec::SparseVec;
 /// separate vectors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SparseBlock {
-    dim: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
+    pub(crate) dim: usize,
+    pub(crate) indptr: Vec<usize>,
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f64>,
 }
 
 impl SparseBlock {
@@ -119,6 +119,11 @@ impl SparseBlock {
         (&self.indices[lo..hi], &self.values[lo..hi])
     }
 
+    /// All rows, borrowed as the scatter kernel's input.
+    pub(crate) fn rows(&self) -> crate::scatter::Rows<'_> {
+        crate::scatter::Rows::new(&self.indptr, &self.indices, &self.values)
+    }
+
     /// Copy row `i` out as a standalone [`SparseVec`].
     pub fn row_vec(&self, i: usize) -> SparseVec {
         let (idx, vals) = self.row(i);
@@ -149,7 +154,7 @@ impl SparseBlock {
     }
 
     /// Append every row of `other` after this block's rows — how parallel
-    /// workers' partial blocks stitch back together in row order.
+    /// workers' partial blocks join back together in row order.
     ///
     /// # Panics
     /// Panics when the dimensions disagree.
@@ -168,10 +173,9 @@ impl SparseBlock {
 }
 
 /// One link of a block propagation: every row of `block` through `m`, in
-/// one pass sharing `scratch`. Each row runs the exact
-/// [`crate::spvec::spvm_with`] kernel (scatter, sort, dedup, gather), so
-/// row `i` of the result is bit-identical to `spvm_with(&block.row_vec(i),
-/// m, ..)`.
+/// one pass sharing `scratch`. Each row runs the same row kernel as
+/// [`crate::spvec::spvm_with`], so row `i` of the result is bit-identical
+/// to `spvm_with(&block.row_vec(i), m, ..)`.
 ///
 /// # Panics
 /// Panics when `block.dim() != m.nrows()`.
@@ -183,44 +187,7 @@ pub fn spmm_block_with(block: &SparseBlock, m: &Csr, scratch: &mut ScatterScratc
         block.dim(),
         m.nrows()
     );
-    crate::counters::with(|c| {
-        use std::sync::atomic::Ordering::Relaxed;
-        let ops: usize = block.indices.iter().map(|&k| m.row_nnz(k as usize)).sum();
-        // one spvm-equivalent propagation per row; the flops are the same
-        // work the per-anchor kernel would have recorded
-        c.spvm_calls.fetch_add(block.k() as u64, Relaxed);
-        c.spvm_flops.fetch_add(ops as u64, Relaxed);
-    });
-    scratch.prepare(m.ncols());
-    let ScatterScratch { acc, touched } = scratch;
-    let mut out = SparseBlock::empty(m.ncols());
-    for i in 0..block.k() {
-        let (row_idx, row_vals) = block.row(i);
-        for (&k, &vk) in row_idx.iter().zip(row_vals) {
-            for (&c, &mv) in m
-                .row_indices(k as usize)
-                .iter()
-                .zip(m.row_values(k as usize))
-            {
-                if acc[c as usize] == 0.0 {
-                    touched.push(c);
-                }
-                acc[c as usize] += vk * mv;
-            }
-        }
-        touched.sort_unstable();
-        // mirror spvm_with/spgemm_with: a column whose partial sums
-        // cancelled back to zero may be marked twice; emit it once
-        touched.dedup();
-        for &c in touched.iter() {
-            out.indices.push(c);
-            out.values.push(acc[c as usize]);
-            acc[c as usize] = 0.0;
-        }
-        touched.clear();
-        out.indptr.push(out.indices.len());
-    }
-    out
+    crate::scatter::propagate(block.rows(), m, scratch)
 }
 
 /// Propagate every row of `block` through the chain `M₁·M₂·…·Mₙ`,
@@ -255,12 +222,12 @@ pub fn spmm_block_chain_with(
 }
 
 /// [`spmm_block_chain`] with the anchor rows partitioned across
-/// `config.threads()` workers via [`crate::pool`]. Rows of the block are
-/// independent, so each worker runs the exact serial chain over its slice
-/// and the partial blocks stitch back in row order — bit-identical to the
-/// serial chain by construction. Partitioning is flop-balanced on the first
-/// link (hub anchors don't pile onto one worker), and the work-stealing
-/// dispatch applies when [`crate::pool::work_stealing`] is on.
+/// `config.threads()` workers by the driver in [`crate::pool`]. Rows of the
+/// block are independent, so each worker runs the exact serial chain over
+/// its slice and the partial blocks are appended in row order —
+/// bit-identical to the serial chain by construction. Partitioning is
+/// flop-balanced on the first link, so hub anchors don't pile onto one
+/// worker.
 ///
 /// # Panics
 /// Panics on a dimension mismatch at any link.
@@ -273,24 +240,18 @@ pub fn spmm_block_chain_parallel(
     if threads == 1 || mats.is_empty() {
         return spmm_block_chain(block, mats);
     }
-    let first = mats[0];
-    let weight = |r: usize| {
-        let (idx, _) = block.row(r);
-        idx.iter()
-            .map(|&k| first.row_nnz(k as usize))
-            .sum::<usize>()
-    };
-    let ranges = crate::pool::partition_blocks(block.k(), threads, weight);
-    crate::counters::with(|c| {
-        c.row_blocks
-            .fetch_add(ranges.len() as u64, std::sync::atomic::Ordering::Relaxed);
+    let weights = block.rows().flops(mats[0]);
+    let parts = crate::pool::run_balanced(&weights, threads, |range| {
+        crate::scatter::with_thread_scratch(|scratch| {
+            spmm_block_chain_with(&block.slice_rows(range), mats, scratch)
+        })
     });
-    let parts = crate::pool::run_partitioned(ranges, threads, |range| {
-        spmm_block_chain(&block.slice_rows(range), mats)
-    });
-    let mut out = SparseBlock::empty(mats.last().map(|m| m.ncols()).unwrap_or(block.dim()));
-    for part in &parts {
-        out.append(part);
+    let mut parts = parts.into_iter();
+    let mut out = parts
+        .next()
+        .expect("a block of k >= 2 rows has a row block");
+    for part in parts {
+        out.append(&part);
     }
     out
 }

@@ -259,10 +259,9 @@ pub fn spmm_chain_order_priced(
 
 /// Multiply a chain of sparse matrices in the planner-chosen order.
 ///
-/// One [`ScatterScratch`](crate::csr::ScatterScratch) (dense accumulator +
-/// touched-column buffer) is shared across every product in the chain, so
-/// an n-link chain pays for the accumulator allocation once instead of per
-/// link.
+/// One [`ScatterScratch`](crate::csr::ScatterScratch) is shared across
+/// every product in the chain, so an n-link chain pays for the accumulator
+/// allocation once instead of per link.
 ///
 /// # Panics
 /// Panics when `mats` is empty or consecutive dimensions mismatch.
@@ -281,7 +280,8 @@ pub fn spmm_chain(mats: &[&Csr]) -> Csr {
 /// ([`Csr::spgemm_parallel`]) on `threads` workers.
 ///
 /// The multiplication *order* is the same planner-chosen tree as the
-/// serial chain, and the per-row kernel is shared, so the result is
+/// serial chain, and every product runs the one row kernel through the
+/// parallel driver in [`crate::pool`], so the result is
 /// bit-identical to [`spmm_chain`] at any thread count. `threads <= 1`
 /// delegates to the serial chain outright (one shared scratch, no
 /// spawning).

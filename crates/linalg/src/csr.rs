@@ -7,48 +7,8 @@
 
 use crate::arena::ArenaView;
 use crate::dense::DMat;
-
-/// Reusable dense-accumulator scratch for the scatter/gather sparse
-/// kernels ([`Csr::spgemm_with`], [`crate::spvec::spvm_with`]).
-///
-/// Both kernels expand one sparse row (or vector) into a dense accumulator,
-/// tracking which columns were touched, then gather the touched columns
-/// back out in sorted order. The accumulator is as wide as the widest
-/// operand seen, so chained products (`spmm_chain`, `spvm_chain`) reuse one
-/// allocation across every link instead of paying a fresh `vec![0.0; ncols]`
-/// per product.
-///
-/// Invariant between uses: `acc` is all zeros and `touched` is empty —
-/// every kernel restores this as it gathers, so a scratch can be shared
-/// freely across calls (but not across threads).
-#[derive(Debug, Default)]
-pub struct ScatterScratch {
-    pub(crate) acc: Vec<f64>,
-    pub(crate) touched: Vec<u32>,
-}
-
-impl ScatterScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grow the accumulator to at least `ncols` zeroed slots.
-    pub(crate) fn prepare(&mut self, ncols: usize) {
-        if self.acc.len() < ncols {
-            self.acc.resize(ncols, 0.0);
-            crate::counters::with(|c| {
-                c.scratch_allocs
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-        } else {
-            crate::counters::with(|c| {
-                c.scratch_reuses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    }
-}
+pub use crate::scatter::ScatterScratch;
+use crate::scatter::{self, Rows};
 
 /// A compressed sparse row `f64` matrix.
 ///
@@ -451,141 +411,80 @@ impl Csr {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spgemm_with(&self, rhs: &Csr, scratch: &mut ScatterScratch) -> Csr {
+        let (flops, total) = self.spgemm_flops(rhs);
+        let mut out = scatter::output(rhs.ncols, self.nrows, total);
+        scatter::scatter_rows(self.rows(), &flops, rhs, scratch, &mut out);
+        Csr::from_parts_unchecked(self.nrows, rhs.ncols, out.indptr, out.indices, out.values)
+    }
+
+    /// All rows, borrowed as the scatter kernel's input.
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        Rows::new(self.indptr(), self.indices(), self.data())
+    }
+
+    /// Check the inner dimension, then compute the exact multiply-adds of
+    /// each row of `self · rhs` once — the figure the serial and parallel
+    /// products use to partition, reserve, count and pick each row's
+    /// gather — and record the product's call and total in the counters.
+    fn spgemm_flops(&self, rhs: &Csr) -> (Vec<usize>, usize) {
         assert_eq!(
             self.ncols, rhs.nrows,
             "Csr::spgemm: inner dimensions {}x{} * {}x{}",
             self.nrows, self.ncols, rhs.nrows, rhs.ncols
         );
-        let flops = crate::chain::spmm_flops_estimate(self, rhs);
-        // `flops` is the exact multiply-add count for this product (one per
-        // (A-nonzero, matching B-row-nonzero) pair), so it doubles as the
-        // profiling figure.
+        let flops = self.rows().flops(rhs);
+        let total: usize = flops.iter().sum();
         crate::counters::with(|c| {
             use std::sync::atomic::Ordering::Relaxed;
             c.spgemm_calls.fetch_add(1, Relaxed);
-            c.spgemm_flops.fetch_add(flops as u64, Relaxed);
+            c.spgemm_flops.fetch_add(total as u64, Relaxed);
         });
-        let (row_ends, indices, data) = self.spgemm_rows(rhs, 0..self.nrows, flops, scratch);
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        indptr.push(0usize);
-        indptr.extend(row_ends);
-        Csr {
-            nrows: self.nrows,
-            ncols: rhs.ncols,
-            storage: Storage::Owned {
-                indptr,
-                indices,
-                data,
-            },
-        }
+        (flops, total)
     }
 
-    /// The scatter/gather row kernel over output rows `rows` — the one
-    /// per-row loop both the serial product ([`Csr::spgemm_with`]) and the
-    /// row-parallel product ([`Csr::spgemm_parallel`]) execute, so the two
-    /// are bit-identical by construction. Returns per-row end offsets
-    /// (relative to the block) plus the block's `indices`/`data` arrays.
+    /// Row-parallel [`Csr::spgemm`]: output rows are partitioned into at
+    /// most `threads` contiguous blocks balanced by per-row multiply-add
+    /// counts ([`crate::pool`]). The calling thread runs block 0 into
+    /// arrays reserved for the whole product, the other blocks run on
+    /// scoped workers, and their rows are appended after block 0's in
+    /// order. Bit-identical to [`Csr::spgemm`] by construction: every row
+    /// runs the same kernel and rows never interact.
     ///
-    /// `flops_hint` bounds the reservation: the exact multiply-add count of
-    /// the rows in question (or any upper bound — it is clamped by the
-    /// density estimate either way).
-    fn spgemm_rows(
-        &self,
-        rhs: &Csr,
-        rows: std::ops::Range<usize>,
-        flops_hint: f64,
-        scratch: &mut ScatterScratch,
-    ) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-        // The estimate is already ≤ rows·cols; the flop count is a hard
-        // upper bound on output nnz (each multiply-add touches one cell).
-        let reserve = crate::chain::spmm_nnz_estimate(rows.len(), rhs.ncols, flops_hint)
-            .ceil()
-            .min(flops_hint) as usize;
-        let mut row_ends = Vec::with_capacity(rows.len());
-        let mut indices: Vec<u32> = Vec::with_capacity(reserve);
-        let mut data: Vec<f64> = Vec::with_capacity(reserve);
-        scratch.prepare(rhs.ncols);
-        let ScatterScratch { acc, touched } = scratch;
-        for r in rows {
-            for (&k, &va) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                for (&c, &vb) in rhs
-                    .row_indices(k as usize)
-                    .iter()
-                    .zip(rhs.row_values(k as usize))
-                {
-                    if acc[c as usize] == 0.0 {
-                        touched.push(c);
-                    }
-                    acc[c as usize] += va * vb;
-                }
-            }
-            touched.sort_unstable();
-            // `acc == 0.0` can re-mark a column whose partial sums cancelled
-            // back to zero (possible only with negative weights); dedup so a
-            // cancelled-and-revived column cannot emit twice.
-            touched.dedup();
-            for &c in touched.iter() {
-                indices.push(c);
-                data.push(acc[c as usize]);
-                acc[c as usize] = 0.0;
-            }
-            touched.clear();
-            row_ends.push(indices.len());
-        }
-        (row_ends, indices, data)
-    }
-
-    /// Row-parallel [`Csr::spgemm`]: output rows are partitioned into
-    /// `threads` contiguous blocks balanced by per-row multiply-add counts,
-    /// each block runs the serial row kernel on its own scoped worker with
-    /// its own [`ScatterScratch`], and the disjoint row ranges are stitched
-    /// back in order. Bit-identical to [`Csr::spgemm`] by construction —
-    /// per-row work is untouched and rows never interact.
-    ///
-    /// `threads <= 1` degenerates to the serial kernel on the calling
-    /// thread (still counting its single row block).
+    /// `threads <= 1` runs the single block on the calling thread (still
+    /// counting its one row block).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn spgemm_parallel(&self, rhs: &Csr, threads: usize) -> Csr {
-        assert_eq!(
-            self.ncols, rhs.nrows,
-            "Csr::spgemm_parallel: inner dimensions {}x{} * {}x{}",
-            self.nrows, self.ncols, rhs.nrows, rhs.ncols
-        );
-        // Exact per-row work: each A-nonzero (r, k) scatters row k of B.
-        let row_flops = |r: usize| -> usize {
-            self.row_indices(r)
-                .iter()
-                .map(|&k| rhs.row_nnz(k as usize))
-                .sum()
-        };
-        let blocks = crate::pool::partition_blocks(self.nrows, threads, row_flops);
-        let total_flops: f64 = (0..self.nrows).map(|r| row_flops(r) as f64).sum();
-        crate::counters::with(|c| {
-            use std::sync::atomic::Ordering::Relaxed;
-            c.spgemm_calls.fetch_add(1, Relaxed);
-            c.spgemm_flops.fetch_add(total_flops as u64, Relaxed);
-            c.row_blocks.fetch_add(blocks.len() as u64, Relaxed);
+        let (flops, total) = self.spgemm_flops(rhs);
+        let parts = crate::pool::run_balanced(&flops, threads, |block| {
+            let block_flops = &flops[block.clone()];
+            // block 0 runs on the calling thread and collects every block's
+            // rows, so it reserves for the whole product
+            let mut out = if block.start == 0 {
+                scatter::output(rhs.ncols, self.nrows, total)
+            } else {
+                scatter::output(rhs.ncols, block.len(), block_flops.iter().sum())
+            };
+            scatter::with_thread_scratch(|scratch| {
+                scatter::scatter_rows(
+                    self.rows().slice(block),
+                    block_flops,
+                    rhs,
+                    scratch,
+                    &mut out,
+                )
+            });
+            out
         });
-        let per_block_hint = total_flops / blocks.len().max(1) as f64;
-        let parts = crate::pool::run_partitioned(blocks, threads, |block| {
-            self.spgemm_rows(rhs, block, per_block_hint, &mut ScatterScratch::new())
-        });
-        // Stitch: concatenate per-block arrays in row order, rebasing each
-        // block's row-end offsets onto the running global length.
-        let nnz: usize = parts.iter().map(|(_, i, _)| i.len()).sum();
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        indptr.push(0usize);
-        let mut indices: Vec<u32> = Vec::with_capacity(nnz);
-        let mut data: Vec<f64> = Vec::with_capacity(nnz);
-        for (row_ends, block_indices, block_data) in parts {
-            let base = indices.len();
-            indices.extend_from_slice(&block_indices);
-            data.extend_from_slice(&block_data);
-            indptr.extend(row_ends.into_iter().map(|e| base + e));
+        let mut parts = parts.into_iter();
+        let mut out = parts
+            .next()
+            .unwrap_or_else(|| scatter::output(rhs.ncols, 0, 0));
+        for part in parts {
+            out.append(&part);
         }
-        Csr::from_parts_unchecked(self.nrows, rhs.ncols, indptr, indices, data)
+        Csr::from_parts_unchecked(self.nrows, rhs.ncols, out.indptr, out.indices, out.values)
     }
 
     /// Scale row `r` by `rows[r]` in place (a view-backed matrix promotes

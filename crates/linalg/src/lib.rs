@@ -9,16 +9,18 @@
 //!
 //! * [`DMat`] — row-major dense matrices with the usual arithmetic,
 //! * [`Csr`] — compressed sparse row matrices with `matvec`, transpose and
-//!   sparse×sparse products,
+//!   sparse×sparse products (one row-scatter kernel, shared with the
+//!   vector and block products below),
 //! * [`chain`] — sparse product cost model (`spmm_flops_estimate`,
 //!   `spmm_nnz_estimate`) and matrix-chain multiplication-order planning,
 //! * [`spvec`] — [`SparseVec`] and the `spvm`/[`spvm_chain`] row-propagation
 //!   kernels (plus their cost model), the sparse-row execution mode
 //!   anchored meta-path queries run on,
-//! * [`pool`] — the scoped worker pool behind the row-parallel kernels
-//!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`]): nnz-balanced
-//!   row blocks, per-worker scratch, thread-count resolution
-//!   (`HIN_KERNEL_THREADS` / [`set_kernel_threads`]),
+//! * [`pool`] — the one driver behind the row-parallel kernels
+//!   ([`Csr::spgemm_parallel`] / [`spmm_chain_parallel`] /
+//!   [`spmm_block_chain_parallel`]): flop-balanced row blocks, the caller
+//!   running block 0, thread-count resolution (`HIN_KERNEL_THREADS` /
+//!   [`set_kernel_threads`]),
 //! * [`block`] — [`SparseBlock`] and the [`spmm_block_chain`] multi-anchor
 //!   kernel: k same-span anchors propagate as one short fat sparse block,
 //!   amortizing per-link scatter work across the batch,
@@ -48,6 +50,7 @@ pub mod dense;
 pub mod eigen;
 pub mod lanczos;
 pub mod pool;
+mod scatter;
 pub mod solve;
 pub mod spvec;
 pub mod vector;
@@ -64,10 +67,7 @@ pub use chain::{
 pub use counters::{KernelCounters, KernelCountersSnapshot};
 pub use csr::{Csr, ScatterScratch};
 pub use dense::DMat;
-pub use pool::{
-    clear_work_stealing, kernel_threads, set_kernel_threads, set_work_stealing, work_stealing,
-    ParallelConfig,
-};
+pub use pool::{kernel_threads, set_kernel_threads, ParallelConfig};
 pub use spvec::{
     spvm, spvm_chain, spvm_chain_flops_estimate, spvm_chain_with, spvm_flops_estimate, spvm_with,
     SparseVec, SpvmChainEstimate,

@@ -1,16 +1,29 @@
-//! Scoped worker pool and row-block partitioning for the parallel sparse
-//! kernels.
+//! Row-block partitioning and the one parallel driver behind the
+//! row-parallel sparse kernels.
 //!
-//! Every output row of an SpMM is independent, so the parallel kernels
-//! ([`Csr::spgemm_parallel`](crate::csr::Csr::spgemm_parallel),
-//! [`crate::chain::spmm_chain_parallel`]) partition output rows into
-//! contiguous, work-balanced blocks and hand each block to its own worker
-//! with its own [`ScatterScratch`](crate::csr::ScatterScratch). Workers are
-//! `std::thread::scope` threads — no external threadpool dependency, no
-//! long-lived pool state to manage, and borrowed operands flow into the
-//! workers without `Arc` ceremony. Rows inside a block run the *exact*
-//! serial per-row kernel, and blocks are stitched back in row order, so the
-//! parallel product is bit-identical to the serial one by construction.
+//! Every output row of a sparse product is independent, so the parallel
+//! kernels ([`Csr::spgemm_parallel`](crate::csr::Csr::spgemm_parallel),
+//! [`crate::chain::spmm_chain_parallel`],
+//! [`crate::block::spmm_block_chain_parallel`]) all go through one
+//! driver: partition the rows into contiguous blocks balanced by each
+//! row's exact multiply-add count ([`row_blocks`]), then run the blocks
+//! ([`run_blocks`]).
+//!
+//! - **The caller runs block 0.** The other blocks each get a
+//!   `std::thread::scope` worker, spawned before the calling thread starts
+//!   on block 0 with its own thread-local scratch, so no thread idles
+//!   waiting and the serial case spawns nothing. Scoped threads need no
+//!   long-lived pool state, and borrowed operands flow into the workers
+//!   without `Arc` ceremony.
+//! - **Appends replace the stitch.** Block 0 writes into output arrays
+//!   reserved for the whole product, and the other blocks' rows are
+//!   appended after it in row order, so only the rows of blocks 1.. are
+//!   copied once.
+//! - **One dispatch strategy.** One static block per worker.
+//!
+//! Rows inside a block run the *exact* serial row kernel and blocks are
+//! joined in row order, so the parallel product is bit-identical to the
+//! serial one by construction.
 //!
 //! # Thread-count resolution
 //!
@@ -26,25 +39,13 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Environment variable overriding the default kernel worker count.
 pub const KERNEL_THREADS_ENV: &str = "HIN_KERNEL_THREADS";
 
-/// Environment variable enabling work-stealing block dispatch (`1`/`true`).
-pub const KERNEL_STEAL_ENV: &str = "HIN_KERNEL_STEAL";
-
-/// When stealing, partition into `threads * STEAL_CHUNK_FACTOR` blocks so
-/// the atomic cursor has enough granularity to rebalance a skewed tail.
-pub const STEAL_CHUNK_FACTOR: usize = 4;
-
 /// Process-wide explicit worker count; `0` = unset (fall through to the
 /// environment / hardware default).
 static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide work-stealing override; `0` = unset (environment default),
-/// `1` = forced on, `2` = forced off.
-static WORK_STEALING: AtomicUsize = AtomicUsize::new(0);
 
 /// Worker-count configuration for the parallel kernels.
 ///
@@ -114,34 +115,6 @@ pub fn kernel_threads() -> usize {
     }
 }
 
-/// Force work-stealing dispatch on or off process-wide (overrides the
-/// `HIN_KERNEL_STEAL` environment variable).
-pub fn set_work_stealing(enabled: bool) {
-    WORK_STEALING.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Clear the explicit override, falling back to the environment default.
-pub fn clear_work_stealing() {
-    WORK_STEALING.store(0, Ordering::Relaxed);
-}
-
-/// Whether the parallel kernels dispatch blocks through the work-stealing
-/// cursor ([`run_blocks_stealing`]) instead of one static block per worker.
-/// Off by default: explicit [`set_work_stealing`] > `HIN_KERNEL_STEAL`
-/// (`1`/`true`) > off.
-pub fn work_stealing() -> bool {
-    match WORK_STEALING.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => std::env::var(KERNEL_STEAL_ENV)
-            .map(|v| {
-                let v = v.trim();
-                v == "1" || v.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false),
-    }
-}
-
 /// Partition `0..nrows` into at most `threads` contiguous blocks balanced
 /// by `row_weight` (typically per-row multiply-add counts, so nnz-heavy
 /// rows don't pile onto one worker). Blocks are non-empty and cover the
@@ -181,97 +154,50 @@ pub fn row_blocks(
     blocks
 }
 
-/// Run `work` over each block on scoped worker threads, returning per-block
-/// results in block order. A single block runs inline on the caller's
-/// thread — the serial path spawns nothing.
+/// Run `work` over each block, returning per-block results in block
+/// order: the first block on the calling thread, every other block on its
+/// own scoped worker thread. A single block spawns nothing.
 pub fn run_blocks<T: Send>(
     blocks: Vec<Range<usize>>,
     work: impl Fn(Range<usize>) -> T + Sync,
 ) -> Vec<T> {
-    if blocks.len() <= 1 {
-        return blocks.into_iter().map(work).collect();
-    }
-    let mut slots: Vec<Option<T>> = blocks.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, block) in slots.iter_mut().zip(blocks) {
-            let work = &work;
-            s.spawn(move || {
-                *slot = Some(work(block));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("scoped worker filled its slot"))
-        .collect()
-}
-
-/// Partition `0..nrows` for the active dispatch strategy: one block per
-/// worker for static dispatch, `threads * STEAL_CHUNK_FACTOR` finer blocks
-/// when [`work_stealing`] is on (so the cursor can rebalance skewed rows).
-pub fn partition_blocks(
-    nrows: usize,
-    threads: usize,
-    row_weight: impl FnMut(usize) -> usize,
-) -> Vec<Range<usize>> {
-    let target = if work_stealing() {
-        threads.max(1).saturating_mul(STEAL_CHUNK_FACTOR)
-    } else {
-        threads
+    let Some((first, rest)) = blocks.split_first() else {
+        return Vec::new();
     };
-    row_blocks(nrows, target, row_weight)
-}
-
-/// Run `work` over the blocks with at most `threads` workers pulling from a
-/// shared atomic cursor — late workers steal whatever blocks remain, so one
-/// hub-heavy block can't serialize the whole pass behind a single worker.
-/// Results come back in block order; stitched output is byte-for-byte the
-/// same as [`run_blocks`] over the same partition.
-pub fn run_blocks_stealing<T: Send>(
-    blocks: Vec<Range<usize>>,
-    threads: usize,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.max(1).min(blocks.len());
-    if blocks.len() <= 1 || threads == 1 {
-        return blocks.into_iter().map(work).collect();
+    if rest.is_empty() {
+        return vec![work(first.clone())];
     }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
+    let work = &work;
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (cursor, slots, blocks, work) = (&cursor, &slots, &blocks, &work);
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(block) = blocks.get(i) else { break };
-                let result = work(block.clone());
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("stealing worker filled its slot")
-        })
-        .collect()
+        let workers: Vec<_> = rest
+            .iter()
+            .map(|block| s.spawn(move || work(block.clone())))
+            .collect();
+        let mut out = Vec::with_capacity(blocks.len());
+        out.push(work(first.clone()));
+        out.extend(workers.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        out
+    })
 }
 
-/// Dispatch the blocks through the strategy [`work_stealing`] selects:
-/// the atomic-cursor pool when stealing is on, one scoped thread per block
-/// otherwise. Either way results return in block order.
-pub fn run_partitioned<T: Send>(
-    blocks: Vec<Range<usize>>,
+/// The parallel kernels' driver: partition `0..weights.len()` into at most
+/// `threads` blocks balanced by `weights` (each row's exact multiply-add
+/// count), count them, and [`run_blocks`] them.
+pub(crate) fn run_balanced<T: Send>(
+    weights: &[usize],
     threads: usize,
     work: impl Fn(Range<usize>) -> T + Sync,
 ) -> Vec<T> {
-    if work_stealing() {
-        run_blocks_stealing(blocks, threads, work)
-    } else {
-        run_blocks(blocks, work)
-    }
+    let blocks = row_blocks(weights.len(), threads, |r| weights[r]);
+    crate::counters::with(|c| {
+        c.row_blocks
+            .fetch_add(blocks.len() as u64, Ordering::Relaxed);
+    });
+    run_blocks(blocks, work)
 }
 
 #[cfg(test)]
@@ -323,41 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_dispatch_matches_static_dispatch_in_order() {
-        let blocks = row_blocks(97, 4, |r| if r < 3 { 50 } else { 1 });
-        let want = run_blocks(blocks.clone(), |b| (b.start, b.end));
-        for threads in [1, 2, 4, 9] {
-            let got = run_blocks_stealing(blocks.clone(), threads, |b| (b.start, b.end));
-            assert_eq!(got, want, "threads={threads}");
-        }
-        assert!(run_blocks_stealing(Vec::new(), 4, |b| b.start).is_empty());
-        #[allow(clippy::single_range_in_vec_init)]
-        let one = vec![2..5];
-        assert_eq!(run_blocks_stealing(one, 4, |b| b.len()), vec![3]);
-    }
-
-    #[test]
-    fn stealing_toggle_resolves_and_refines_partitions() {
-        // default off (no env var in the test environment)
-        clear_work_stealing();
-        assert!(!work_stealing());
-        set_work_stealing(true);
-        assert!(work_stealing());
-        let fine = partition_blocks(256, 2, |_| 1);
-        assert!(
-            fine.len() > 2 && fine.len() <= 2 * STEAL_CHUNK_FACTOR,
-            "stealing partitions are finer than one-per-worker: {}",
-            fine.len()
-        );
-        let got = run_partitioned(fine.clone(), 2, |b| b.start);
-        assert_eq!(got, fine.iter().map(|b| b.start).collect::<Vec<_>>());
-        set_work_stealing(false);
-        assert!(!work_stealing());
-        assert!(partition_blocks(256, 2, |_| 1).len() <= 2);
-        clear_work_stealing();
-    }
-
-    #[test]
     fn run_blocks_returns_in_block_order() {
         let blocks = row_blocks(64, 4, |_| 1);
         let want: Vec<usize> = blocks.iter().map(|b| b.start).collect();
@@ -368,5 +259,14 @@ mod tests {
         let one_block = vec![0..9];
         assert_eq!(run_blocks(one_block, |b| b.end), vec![9]);
         assert!(run_blocks(Vec::new(), |b| b.end).is_empty());
+    }
+
+    #[test]
+    fn caller_runs_the_first_block_and_workers_the_rest() {
+        let caller = std::thread::current().id();
+        let ran_on = run_blocks(row_blocks(64, 3, |_| 1), |_| std::thread::current().id());
+        assert_eq!(ran_on.len(), 3);
+        assert_eq!(ran_on[0], caller, "block 0 runs on the calling thread");
+        assert!(ran_on[1..].iter().all(|&id| id != caller));
     }
 }

@@ -10,12 +10,11 @@
 //! [`spvm_flops_estimate`] / [`spvm_chain_flops_estimate`] are its cost
 //! model for this side of the comparison.
 //!
-//! The kernels mirror `Csr::spgemm`'s inner loop exactly (dense-accumulator
-//! scatter, touched-column gather in sorted order), so a propagated row is
-//! **bit-identical** to the corresponding row of the left-to-right matrix
-//! product — and identical to *any* evaluation order whenever the
-//! arithmetic is exact (e.g. integer-valued weights, the common case for
-//! path counts).
+//! The kernels run `Csr::spgemm`'s row kernel on a one-row input, so a
+//! propagated row is **bit-identical** to the corresponding row of the
+//! left-to-right matrix product — and identical to *any* evaluation order
+//! whenever the arithmetic is exact (e.g. integer-valued weights, the
+//! common case for path counts).
 
 use crate::chain::MatSummary;
 use crate::csr::{Csr, ScatterScratch};
@@ -217,11 +216,9 @@ pub fn spvm(v: &SparseVec, m: &Csr) -> SparseVec {
 
 /// [`spvm`] reusing a caller-owned [`ScatterScratch`].
 ///
-/// The kernel is `Csr::spgemm`'s inner loop restricted to one row: scatter
-/// each reached row of `m` into a dense accumulator (tracking touched
-/// columns), then gather the touched columns in sorted order. Identical
-/// iteration and accumulation order means a propagated row is bit-identical
-/// to the same row of the left-to-right materialized product.
+/// The vector is a one-row input to the same row kernel `Csr::spgemm`
+/// runs, so a propagated row is bit-identical to the same row of the
+/// left-to-right materialized product.
 ///
 /// # Panics
 /// Panics when `v.dim() != m.nrows()`.
@@ -233,42 +230,16 @@ pub fn spvm_with(v: &SparseVec, m: &Csr, scratch: &mut ScatterScratch) -> Sparse
         v.dim(),
         m.nrows()
     );
-    crate::counters::with(|c| {
-        use std::sync::atomic::Ordering::Relaxed;
-        let ops: usize = v
-            .indices
-            .iter()
-            .map(|&k| m.row_indices(k as usize).len())
-            .sum();
-        c.spvm_calls.fetch_add(1, Relaxed);
-        c.spvm_flops.fetch_add(ops as u64, Relaxed);
-    });
-    scratch.prepare(m.ncols());
-    let ScatterScratch { acc, touched } = scratch;
-    for (k, vk) in v.iter() {
-        for (&c, &mv) in m.row_indices(k).iter().zip(m.row_values(k)) {
-            if acc[c as usize] == 0.0 {
-                touched.push(c);
-            }
-            acc[c as usize] += vk * mv;
-        }
-    }
-    touched.sort_unstable();
-    // mirror spgemm_with: a column whose partial sums cancelled back to
-    // zero may be marked twice; it must still emit exactly once
-    touched.dedup();
-    let mut indices = Vec::with_capacity(touched.len());
-    let mut values = Vec::with_capacity(touched.len());
-    for &c in touched.iter() {
-        indices.push(c);
-        values.push(acc[c as usize]);
-        acc[c as usize] = 0.0;
-    }
-    touched.clear();
+    let indptr = [0, v.nnz()];
+    let out = crate::scatter::propagate(
+        crate::scatter::Rows::new(&indptr, &v.indices, &v.values),
+        m,
+        scratch,
+    );
     SparseVec {
         dim: m.ncols(),
-        indices,
-        values,
+        indices: out.indices,
+        values: out.values,
     }
 }
 

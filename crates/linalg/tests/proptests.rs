@@ -263,34 +263,45 @@ proptest! {
     }
 
     #[test]
-    fn work_stealing_dispatch_is_bit_identical_to_static(ts1 in rect_triplets(9, 7, 40),
-                                                         ts2 in rect_triplets(7, 8, 40)) {
-        use hin_linalg::pool::{run_blocks, run_blocks_stealing, row_blocks};
-        let a = Csr::from_triplets(9, 7, ts1);
-        let b = Csr::from_triplets(7, 8, ts2);
-        let serial = a.spgemm(&b);
-        let (si, sj, sv) = serial.parts();
-        // same partition through both dispatchers must stitch identically;
-        // then the full kernel under the process-wide toggle (safe shared
-        // state: every concurrent test asserts bit-identity either way)
-        let row_flops = |r: usize| a.row_indices(r).iter()
-            .map(|&k| b.row_nnz(k as usize)).sum::<usize>();
+    fn every_product_kernel_is_bit_identical_to_a_dense_order_oracle(
+        ta in prop::collection::vec(kernel_entry(KA_ROWS, KA_COLS), 0..40),
+        tb in prop::collection::vec(kernel_entry(KA_COLS, KB_COLS), 0..40),
+    ) {
+        use hin_linalg::{spmm_block_with, spvm_with, ScatterScratch, SparseBlock, SparseVec};
+        let (a, b) = kernel_operands(ta, tb);
+        let want = dense_order_oracle(&a, &b);
+        let same = |got: (&[usize], &[u32], &[f64]), kernel: &str| -> Result<(), String> {
+            prop_assert_eq!(got.0, &want.0[..], "{}: indptr", kernel);
+            prop_assert_eq!(got.1, &want.1[..], "{}: indices", kernel);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.2), bits(&want.2), "{}: value bits", kernel);
+            Ok(())
+        };
+        same(a.spgemm(&b).parts(), "spgemm")?;
         for threads in [1usize, 2, 4] {
-            let blocks = row_blocks(9, threads * hin_linalg::pool::STEAL_CHUNK_FACTOR, row_flops);
-            let static_parts = run_blocks(blocks.clone(), |r| (r.start, r.end));
-            let stolen_parts = run_blocks_stealing(blocks.clone(), threads, |r| (r.start, r.end));
-            prop_assert_eq!(static_parts, stolen_parts, "block order at {} threads", threads);
-            hin_linalg::set_work_stealing(true);
-            let par = a.spgemm_parallel(&b, threads);
-            hin_linalg::clear_work_stealing();
-            let (pi, pj, pv) = par.parts();
-            prop_assert_eq!(pi, si, "indptr differs at {} threads", threads);
-            prop_assert_eq!(pj, sj, "indices differ at {} threads", threads);
-            for (x, y) in sv.iter().zip(pv) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(),
-                                "value bits differ at {} threads", threads);
-            }
+            same(a.spgemm_parallel(&b, threads).parts(), &format!("spgemm_parallel x{threads}"))?;
         }
+        // one scratch across every row: a gather that left it dirty would
+        // corrupt the rows after it
+        let mut scratch = ScatterScratch::new();
+        let rows: Vec<SparseVec> = (0..KA_ROWS).map(|r| SparseVec::from_csr_row(&a, r)).collect();
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for row in &rows {
+            let got = spvm_with(row, &b, &mut scratch);
+            indices.extend_from_slice(got.indices());
+            values.extend_from_slice(got.values());
+            indptr.push(indices.len());
+        }
+        same((&indptr, &indices, &values), "spvm_with")?;
+        let block = spmm_block_with(&SparseBlock::from_rows(&rows), &b, &mut scratch);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..block.k() {
+            let (idx, vals) = block.row(i);
+            indices.extend_from_slice(idx);
+            values.extend_from_slice(vals);
+            indptr.push(indices.len());
+        }
+        same((&indptr, &indices, &values), "spmm_block_with")?;
     }
 
     #[test]
@@ -302,4 +313,78 @@ proptest! {
             prop_assert_eq!(m.row_indices(r), n.row_indices(r));
         }
     }
+}
+
+/// Shape of the oracle test's operands `a` (`KA_ROWS × KA_COLS`) and `b`
+/// (`KA_COLS × KB_COLS`). The kernels gather a row densely when its
+/// multiply-adds × 4 ≥ the output width, here 16: 4 multiply-adds.
+const KA_ROWS: usize = 13;
+const KA_COLS: usize = 9;
+const KB_COLS: usize = 16;
+
+/// One random triplet: negative weights, stored zeros, small integers that
+/// cancel exactly, and fractions whose sums round.
+fn kernel_entry(nr: usize, nc: usize) -> impl Strategy<Value = (u32, u32, f64)> {
+    (0..nr as u32, 0..nc as u32, -3i8..=3, 0.0f64..1.0).prop_map(|(r, c, w, f)| {
+        let v = if f < 0.5 {
+            f64::from(w)
+        } else {
+            f64::from(w) * f
+        };
+        (r, c, v)
+    })
+}
+
+/// The oracle test's operands; rows 0..5 of `b` and rows 9.. of `a` are
+/// fixed. Row 10 of `a` stays empty. Rows 0 and 1 of `b` hold exactly 4
+/// and 3 entries, so row 11 of `a` (one entry on row 0) sits exactly at
+/// the dense-row rule and row 9 (one entry on row 1) just below it. Row 12
+/// stays below it too while its column 3 goes 1 → 0 → 1 through rows 2, 3
+/// and 4 of `b`: cancelled, then revived.
+fn kernel_operands(ta: Vec<(u32, u32, f64)>, tb: Vec<(u32, u32, f64)>) -> (Csr, Csr) {
+    let ta = ta.into_iter().filter(|&(r, _, _)| r < 9).chain([
+        (9, 1, -1.5),
+        (11, 0, 2.0),
+        (12, 2, 1.0),
+        (12, 3, 1.0),
+        (12, 4, 1.0),
+    ]);
+    let tb = tb
+        .into_iter()
+        .filter(|&(r, _, _)| r >= 5)
+        .chain([(0, 1, 1.0), (0, 5, -0.0), (0, 9, 0.25), (0, 15, -3.0)])
+        .chain([(1, 0, 0.5), (1, 7, 0.0), (1, 14, -2.0)])
+        .chain([(2, 3, 1.0), (3, 3, -1.0), (4, 3, 1.0)]);
+    (
+        Csr::from_triplets(KA_ROWS, KA_COLS, ta),
+        Csr::from_triplets(KA_COLS, KB_COLS, tb),
+    )
+}
+
+/// `a · b` computed independently of the kernels: each row adds
+/// `a[r,k] * b[k,c]` into a dense row in `a`'s and then `b`'s row order,
+/// and emits every column it reached in ascending order — explicit and
+/// cancelled zeros included.
+fn dense_order_oracle(a: &Csr, b: &Csr) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+    for r in 0..a.nrows() {
+        let mut acc = vec![0.0f64; b.ncols()];
+        let mut touched = vec![false; b.ncols()];
+        for (&k, &va) in a.row_indices(r).iter().zip(a.row_values(r)) {
+            for (&c, &vb) in b
+                .row_indices(k as usize)
+                .iter()
+                .zip(b.row_values(k as usize))
+            {
+                acc[c as usize] += va * vb;
+                touched[c as usize] = true;
+            }
+        }
+        for c in (0..b.ncols()).filter(|&c| touched[c]) {
+            indices.push(c as u32);
+            values.push(acc[c]);
+        }
+        indptr.push(indices.len());
+    }
+    (indptr, indices, values)
 }

@@ -1052,6 +1052,18 @@ mod tests {
     use crate::cache::CacheConfig;
     use hin_core::HinBuilder;
 
+    /// `heap_decodes` is process-global and tests run on parallel threads:
+    /// the tests that decode v1 containers hold this lock, and so does the
+    /// one that asserts a v2 restore decodes nothing, so their counts
+    /// cannot interleave.
+    static HEAP_DECODES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serialize_heap_decodes() -> std::sync::MutexGuard<'static, ()> {
+        HEAP_DECODES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// papers p0{a0,a1}@v0, p1{a1}@v0, p2{a2}@v1 — the metapath fixture.
     fn bib() -> Hin {
         let mut b = HinBuilder::new();
@@ -1141,6 +1153,7 @@ mod tests {
 
     #[test]
     fn v2_restore_is_view_backed_and_shares_one_arena() {
+        let _decodes = serialize_heap_decodes();
         let hin = bib();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
@@ -1195,6 +1208,7 @@ mod tests {
 
     #[test]
     fn v1_containers_still_load_via_the_compat_path() {
+        let _decodes = serialize_heap_decodes();
         let hin = bib();
         let fp = dataset_fingerprint(&hin);
         let cache = MatrixCache::default();
@@ -1277,6 +1291,7 @@ mod tests {
 
     #[test]
     fn file_round_trip_takes_the_one_read_arena_path() {
+        let _decodes = serialize_heap_decodes();
         let hin = bib();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
@@ -1311,6 +1326,7 @@ mod tests {
 
     #[test]
     fn mapped_restore_matches_the_read_path_and_survives_corruption() {
+        let _decodes = serialize_heap_decodes();
         let hin = bib();
         let cache = MatrixCache::default();
         cache.put(vec![(0, true)], pa_matrix(&hin));
